@@ -382,6 +382,7 @@ fn main() {
             if let Some(d) = overrides.deadline {
                 cfg.deadline_secs = d;
             }
+            cfg.validate().unwrap_or_else(|e| die(&e));
             let avail = if cfg.availability_period > 0 {
                 format!(
                     " | avail diurnal:{}:{:.2}",

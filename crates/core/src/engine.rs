@@ -21,6 +21,7 @@
 //! metric.
 
 use crate::algorithms::{Algorithm, ClientStateStore};
+use crate::checkpoint::Checkpoint;
 use crate::compression::{CompressionKind, Compressor};
 use crate::costs::CostModel;
 use crate::runtime::ClientExecutor;
@@ -195,9 +196,10 @@ impl SimulationConfig {
         }
     }
 
-    /// Check the invariants [`Simulation::new`] would otherwise assert
-    /// (and panic on). Used by checkpoint restore so a corrupted or
-    /// hand-edited snapshot surfaces a clean error instead of a panic.
+    /// Check the configuration's invariants. [`Simulation::new`] panics
+    /// with this message on failure; checkpoint restore and the CLI call it
+    /// first, so a corrupted snapshot or a bad flag surfaces as a clean
+    /// error instead.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_clients == 0 {
             return Err("need at least one client".into());
@@ -419,27 +421,19 @@ impl Simulation {
     /// one.
     ///
     /// # Panics
-    /// Panics on inconsistent configuration (zero clients, `K > N`,
-    /// model/dataset shape mismatch, `device_het < 1`).
+    /// Panics with [`SimulationConfig::validate`]'s message on an invalid
+    /// configuration (zero clients, `K > N`, `device_het < 1`, …) — callers
+    /// holding an untrusted configuration call `validate` first — and on a
+    /// model/dataset shape mismatch.
     pub fn new(cfg: SimulationConfig, mut algorithm: Box<dyn Algorithm>) -> Self {
-        assert!(cfg.n_clients > 0, "need at least one client");
-        assert!(
-            cfg.clients_per_round > 0 && cfg.clients_per_round <= cfg.n_clients,
-            "clients_per_round must be in 1..=n_clients"
-        );
-        assert!(cfg.rounds > 0, "need at least one round");
-        assert!(cfg.eval_every > 0, "eval_every must be positive");
-        assert!(cfg.device_het >= 1.0, "device_het must be >= 1");
-        assert!(cfg.edges > 0, "need at least one edge aggregator");
-        assert!(
-            cfg.deadline_secs >= 0.0,
-            "deadline_secs must be non-negative"
-        );
+        if let Err(msg) = cfg.validate() {
+            // lint:allow(panic) — documented contract; `validate` is the non-panicking check
+            panic!("{msg}");
+        }
 
         let dataset = SyntheticVision::new(cfg.dataset, cfg.seed);
         let mut spec = *dataset.spec();
         if let Some(n) = cfg.client_samples_override {
-            assert!(n > 0, "client_samples_override must be positive");
             spec.client_samples = n;
         }
         let partition = Partition::build(
@@ -576,12 +570,6 @@ impl Simulation {
         self.algorithm.server_state()
     }
 
-    /// Restore server-side algorithm state (must run *after* construction —
-    /// `Simulation::new` calls `on_init`, which reinitializes it).
-    pub fn restore_algorithm_state(&mut self, state: Vec<Vec<f32>>) {
-        self.algorithm.restore_server_state(state);
-    }
-
     /// Scheduler position (clock-independent) for checkpointing.
     pub fn scheduler_state(&self) -> SchedulerState {
         self.scheduler.export_state()
@@ -592,61 +580,11 @@ impl Simulation {
         &self.utility
     }
 
-    /// Restore the utility table from checkpointed `(client, mean_loss)`
-    /// pairs (must run after [`Simulation::restore_snapshot`] so a resumed
-    /// run scores Oort selection identically).
-    pub fn restore_utility(&mut self, pairs: impl IntoIterator<Item = (usize, f64)>) {
-        self.utility = UtilityTable::from_pairs(pairs);
-    }
-
     /// Per-client fold counts so far (clients that never folded are
     /// absent). Feeds the participation-Gini diagnostic of the `scenario`
     /// bench; not checkpointed.
     pub fn participation_counts(&self) -> &BTreeMap<usize, u64> {
         &self.participation
-    }
-
-    /// Restore engine position from a checkpoint (see
-    /// [`crate::checkpoint::Checkpoint`]). Overwrites round counter, global
-    /// parameters, client states and records; cumulative accounting and the
-    /// virtual clock are recovered from the last record.
-    ///
-    /// A snapshot that does not fit this simulation — wrong parameter
-    /// count, client ids beyond the configured federation, inconsistent
-    /// record count — returns a [`RestoreError`] instead of panicking, so a
-    /// config/checkpoint mismatch surfaces as a clean error the caller can
-    /// report. On error the simulation is left untouched.
-    pub fn restore_snapshot(
-        &mut self,
-        round: usize,
-        global: Vec<f32>,
-        states: impl IntoIterator<Item = (usize, crate::algorithms::ClientState)>,
-        records: Vec<RoundRecord>,
-    ) -> Result<(), RestoreError> {
-        if global.len() != self.global.len() {
-            return Err(RestoreError::GlobalSizeMismatch {
-                snapshot: global.len(),
-                expected: self.global.len(),
-            });
-        }
-        let store = ClientStateStore::from_entries(self.cfg.n_clients, states)
-            .map_err(RestoreError::InvalidClientStates)?;
-        if records.len() != round {
-            return Err(RestoreError::RecordsMismatch {
-                records: records.len(),
-                round,
-            });
-        }
-        self.round = round;
-        self.global = global;
-        self.states = store;
-        if let Some(last) = records.last() {
-            self.cum_comm_bytes = last.cum_comm_bytes;
-            self.cum_flops = last.cum_flops;
-            self.clock.restore(last.virtual_time);
-        }
-        self.records = records;
-        Ok(())
     }
 
     /// Per-edge clock instants of the hierarchical tier, in edge order
@@ -667,69 +605,109 @@ impl Simulation {
         )
     }
 
-    /// Restore the downlink broadcast state from a checkpoint. Must run
-    /// *after* [`Simulation::restore_snapshot`] (it anchors empty snapshot
-    /// vectors — dense-downlink captures, pre-v7 migrations — to the
-    /// restored global model). A non-empty vector whose length does not
-    /// match the model returns a clean [`RestoreError`] and leaves the
-    /// simulation untouched.
-    pub fn restore_broadcast(
-        &mut self,
-        view: Vec<f32>,
-        last: Vec<f32>,
-        residual: Option<Vec<f32>>,
-        epoch: u64,
-    ) -> Result<(), RestoreError> {
+    /// Overwrite the position of a simulation freshly built from
+    /// `ckpt.config` with the snapshot's: round counter, records and the
+    /// cumulative totals they carry, global model, client states,
+    /// server-side algorithm state, root and edge clocks, scheduler, utility
+    /// table and downlink broadcast state.
+    ///
+    /// The whole snapshot is checked before anything is assigned — the
+    /// parameter counts of the global model, scheduler jobs and broadcast
+    /// vectors; the client ids of state entries, jobs and utility entries;
+    /// the record and edge-clock counts — so a snapshot that does not fit
+    /// returns a [`RestoreError`] and leaves the simulation untouched.
+    pub(crate) fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), RestoreError> {
+        let n_clients = self.cfg.n_clients;
         let expected = self.global.len();
-        for v in [Some(&view), Some(&last), residual.as_ref()]
-            .into_iter()
-            .flatten()
-        {
-            if !v.is_empty() && v.len() != expected {
-                return Err(RestoreError::GlobalSizeMismatch {
-                    snapshot: v.len(),
-                    expected,
-                });
+        let fits = |snapshot: usize| {
+            if snapshot == expected {
+                Ok(())
+            } else {
+                Err(RestoreError::GlobalSizeMismatch { snapshot, expected })
             }
+        };
+        fits(ckpt.global.len())?;
+        for job in ckpt
+            .scheduler
+            .in_flight
+            .iter()
+            .chain(&ckpt.scheduler.buffer)
+        {
+            if job.client >= n_clients {
+                return Err(RestoreError::InvalidClientStates(format!(
+                    "scheduler job for client {} out of range for a federation of {n_clients}",
+                    job.client
+                )));
+            }
+            fits(job.outcome.params.len())?;
         }
-        if !self.down_codec.is_identity() {
-            self.broadcast_view = if view.is_empty() {
-                self.global.clone()
-            } else {
-                view
-            };
-            self.broadcast_last = if last.is_empty() {
-                self.global.clone()
-            } else {
-                last
-            };
-            self.broadcast_residual = residual.filter(|r| !r.is_empty());
+        if let Some(e) = ckpt.utility.iter().find(|e| e.client >= n_clients) {
+            return Err(RestoreError::InvalidClientStates(format!(
+                "utility entry for client {} out of range for a federation of {n_clients}",
+                e.client
+            )));
         }
-        self.broadcast_epoch = epoch;
-        Ok(())
-    }
-
-    /// Restore the runtime layer from a checkpoint: the exact virtual-clock
-    /// instant (which can sit past the last record's fold time while
-    /// arrivals were being collected), the per-edge clocks of the
-    /// hierarchical tier, and the scheduler's in-flight state. A snapshot
-    /// whose edge-clock list does not match the configured tier width
-    /// returns a clean [`RestoreError`] and leaves the simulation untouched.
-    pub fn restore_runtime(
-        &mut self,
-        clock_now: f64,
-        edge_clocks: &[f64],
-        scheduler: SchedulerState,
-    ) -> Result<(), RestoreError> {
-        if edge_clocks.len() != self.edges.n_edges() {
+        let states = ClientStateStore::from_entries(
+            n_clients,
+            ckpt.states.iter().map(|e| (e.client, e.state.clone())),
+        )
+        .map_err(RestoreError::InvalidClientStates)?;
+        if ckpt.records.len() != ckpt.round {
+            return Err(RestoreError::RecordsMismatch {
+                records: ckpt.records.len(),
+                round: ckpt.round,
+            });
+        }
+        if ckpt.edge_clocks.len() != self.edges.n_edges() {
             return Err(RestoreError::EdgeClocksMismatch {
-                snapshot: edge_clocks.len(),
+                snapshot: ckpt.edge_clocks.len(),
                 expected: self.edges.n_edges(),
             });
         }
-        self.clock.restore(clock_now);
-        self.edges.restore_times(edge_clocks);
-        self.scheduler.restore_state(scheduler);
+        for v in [
+            &ckpt.broadcast_view,
+            &ckpt.broadcast_last,
+            &ckpt.broadcast_residual,
+        ] {
+            if !v.is_empty() {
+                fits(v.len())?;
+            }
+        }
+
+        // Simulation::new ran on_init, which sized-and-zeroed the server
+        // state: overwrite it
+        self.algorithm
+            .restore_server_state(ckpt.server_state.clone());
+        self.round = ckpt.round;
+        self.global = ckpt.global.clone();
+        self.states = states;
+        self.records = ckpt.records.clone();
+        if let Some(last) = self.records.last() {
+            self.cum_comm_bytes = last.cum_comm_bytes;
+            self.cum_flops = last.cum_flops;
+        }
+        // the root clock can sit past the last record's fold time while
+        // semi-async arrivals were being collected
+        self.clock.restore(ckpt.clock);
+        self.edges.restore_times(&ckpt.edge_clocks);
+        self.scheduler.restore_state(ckpt.scheduler.clone());
+        self.utility = UtilityTable::from_pairs(ckpt.utility.iter().map(|e| (e.client, e.loss)));
+        if !self.down_codec.is_identity() {
+            // empty vectors (dense-downlink captures, pre-v7 snapshots)
+            // re-anchor to the restored global model
+            let or_global = |v: &Vec<f32>| {
+                if v.is_empty() {
+                    self.global.clone()
+                } else {
+                    v.clone()
+                }
+            };
+            self.broadcast_view = or_global(&ckpt.broadcast_view);
+            self.broadcast_last = or_global(&ckpt.broadcast_last);
+            self.broadcast_residual =
+                (!ckpt.broadcast_residual.is_empty()).then(|| ckpt.broadcast_residual.clone());
+        }
+        self.broadcast_epoch = ckpt.broadcast_epoch;
         Ok(())
     }
 
@@ -1082,6 +1060,57 @@ mod tests {
 
     fn sim(kind: AlgorithmKind, seed: u64) -> Simulation {
         Simulation::new(tiny_cfg(seed), kind.build(&HyperParams::default()))
+    }
+
+    #[test]
+    fn new_panics_with_validate_message_for_every_rejected_rule() {
+        type Break = fn(&mut SimulationConfig);
+        let rules: [(&str, Break); 16] = [
+            ("zero clients", |c| c.n_clients = 0),
+            ("zero K", |c| c.clients_per_round = 0),
+            ("K > N", |c| c.clients_per_round = c.n_clients + 1),
+            ("zero rounds", |c| c.rounds = 0),
+            ("zero eval_every", |c| c.eval_every = 0),
+            ("NaN device_het", |c| c.device_het = f32::NAN),
+            ("sub-unit device_het", |c| c.device_het = 0.5),
+            ("zero client samples", |c| {
+                c.client_samples_override = Some(0)
+            }),
+            ("NaN staleness in sync mode", |c| {
+                c.staleness_exponent = f32::NAN
+            }),
+            ("negative staleness", |c| c.staleness_exponent = -0.5),
+            ("zero edges", |c| c.edges = 0),
+            ("zero on-fraction", |c| {
+                c.availability_period = 4;
+                c.availability_on_fraction = 0.0;
+            }),
+            ("on-fraction above 1", |c| {
+                c.availability_period = 4;
+                c.availability_on_fraction = 1.5;
+            }),
+            ("churn without residency", |c| {
+                c.churn_join_window = 4;
+                c.churn_residency = 0;
+            }),
+            ("NaN deadline", |c| c.deadline_secs = f32::NAN),
+            ("negative deadline", |c| c.deadline_secs = -1.0),
+        ];
+        for (name, break_rule) in rules {
+            let mut c = tiny_cfg(1);
+            break_rule(&mut c);
+            let msg = c.validate().expect_err(name);
+            let payload = std::panic::catch_unwind(|| {
+                Simulation::new(c, AlgorithmKind::FedAvg.build(&HyperParams::default()))
+            })
+            .map(|_| ())
+            .expect_err(name);
+            let got = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(got, Some(msg.as_str()), "{name}");
+        }
     }
 
     #[test]

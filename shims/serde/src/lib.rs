@@ -94,10 +94,25 @@ impl Value {
         }
     }
 
+    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
+        match self {
+            Value::Array(xs) => Some(xs),
+            _ => None,
+        }
+    }
+
     /// Object field lookup by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object()
             .and_then(|entries| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+    }
+
+    /// Mutable object field lookup by key.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Object(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     fn kind(&self) -> &'static str {

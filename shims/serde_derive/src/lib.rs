@@ -11,7 +11,10 @@
 //!   real serde's default representation.
 //!
 //! Generics and `#[serde(...)]` attributes are not supported and panic
-//! with a clear message at expansion time.
+//! with a clear message at expansion time. `serde` is registered as a
+//! derive helper attribute only so that rustc hands it to the derive,
+//! which rejects it: a `rename` or `default` must not compile and then be
+//! ignored at load time.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -38,7 +41,7 @@ enum VariantData {
     Struct(Vec<String>),
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let src = match &item {
@@ -49,7 +52,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("serde_derive shim: generated invalid Serialize impl")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let src = match &item {
@@ -64,14 +67,25 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 type Tokens = Peekable<proc_macro::token_stream::IntoIter>;
 
-/// Consume leading `#[...]` attributes and `pub`/`pub(...)` visibility.
+/// Consume leading `#[...]` attributes and `pub`/`pub(...)` visibility,
+/// panicking on a `#[serde(...)]` attribute.
 fn skip_attrs_and_vis(toks: &mut Tokens) {
     loop {
         match toks.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 toks.next();
                 match toks.next() {
-                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {}
+                    Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
+                        if let Some(TokenTree::Ident(id)) = g.stream().into_iter().next() {
+                            if id.to_string() == "serde" {
+                                panic!(
+                                    "serde_derive shim: `#[{}]` is not supported; the shim \
+                                     has no serde attributes",
+                                    g.stream()
+                                );
+                            }
+                        }
+                    }
                     other => panic!("serde_derive shim: malformed attribute, got {other:?}"),
                 }
             }
